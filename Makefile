@@ -50,6 +50,8 @@ test: build
 race:
 	$(RACE_ENV) $(GO) test -race ./...
 	$(RACE_ENV) $(GO) test -race -count=2 -run 'TestCacheConcurrent' ./internal/cache/
+	$(RACE_ENV) $(GO) test -race -count=2 -run 'TestSharedAnalyzerConcurrentPredict|TestConcurrentFusedAnalyzeManifestIsolation' ./internal/core/
+	$(RACE_ENV) $(GO) test -race -count=2 -run 'TestServeFusedConcurrentSharedModel' ./internal/serve/
 
 bench: ## full benchmark sweep
 	$(GO) test -bench=. -benchmem -run='^$$' .

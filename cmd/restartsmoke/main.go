@@ -29,6 +29,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,7 +37,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -146,6 +146,7 @@ func restartPath(asyncBody string, cold *serve.AnalyzeResult, manifestOut string
 	}
 	defer os.RemoveAll(dir)
 
+	checkpointsBefore := obs.CounterValue("serve.journal.checkpoints")
 	s1 := serve.New(serve.Config{Workers: 1, JournalDir: dir, CheckpointEvery: every})
 	ts1 := httptest.NewServer(s1.Handler())
 	v, err := postJob(ts1, asyncBody)
@@ -154,7 +155,7 @@ func restartPath(asyncBody string, cold *serve.AnalyzeResult, manifestOut string
 		return err
 	}
 	id := v.ID
-	if err := waitForBlob(filepath.Join(dir, "checkpoints")); err != nil {
+	if err := waitForCheckpointJournaled(checkpointsBefore); err != nil {
 		ts1.Close()
 		return err
 	}
@@ -275,17 +276,19 @@ func pollJob(ts *httptest.Server, id string) (serve.JobView, error) {
 	return v, fmt.Errorf("job %s did not finish before the deadline", id)
 }
 
-// waitForBlob blocks until the journal's checkpoint blob directory is
-// non-empty — the earliest moment a crash is recoverable mid-solve.
-func waitForBlob(dir string) error {
+// waitForCheckpointJournaled blocks until the serve.journal.checkpoints
+// counter moves past before: a checkpoint record is in the journal,
+// after its blob was committed — the earliest moment a crash is
+// recoverable mid-solve.
+func waitForCheckpointJournaled(before int64) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if ents, err := os.ReadDir(dir); err == nil && len(ents) > 0 {
+		if obs.CounterValue("serve.journal.checkpoints") > before {
 			return nil
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return fmt.Errorf("no checkpoint blob appeared in %s before the deadline", dir)
+	return errors.New("no checkpoint was journaled before the deadline")
 }
 
 func shutdown(s *serve.Server, ts *httptest.Server) {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -64,6 +65,34 @@ func DesignFingerprint(d *pgen.Design) string {
 	fmt.Fprintf(h, "design w=%d h=%d vdd=%s\n", d.W, d.H, spice.FormatValue(d.VDD))
 	io.WriteString(h, Canonical(d.Netlist))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// fpKey is the private context key for a precomputed fingerprint.
+type fpKey struct{}
+
+// boundFingerprint pairs a fingerprint with the design it was computed
+// for, so it is only ever reused for that design.
+type boundFingerprint struct {
+	d  *pgen.Design
+	fp string
+}
+
+// WithFingerprint binds fp, the DesignFingerprint the caller already
+// computed for d, into ctx. Layers below that address the cache by
+// design read it back through FingerprintCtx instead of hashing the
+// deck again — a serving job fingerprints its design once.
+func WithFingerprint(ctx context.Context, d *pgen.Design, fp string) context.Context {
+	return context.WithValue(ctx, fpKey{}, boundFingerprint{d: d, fp: fp})
+}
+
+// FingerprintCtx returns DesignFingerprint(d), reusing the value bound
+// by WithFingerprint when it was bound for this very design; any other
+// design (or none bound) is hashed as usual.
+func FingerprintCtx(ctx context.Context, d *pgen.Design) string {
+	if b, ok := ctx.Value(fpKey{}).(boundFingerprint); ok && b.d == d && b.fp != "" {
+		return b.fp
+	}
+	return DesignFingerprint(d)
 }
 
 // CanonicalTopology renders a netlist in the value-free variant of the

@@ -74,11 +74,10 @@ func TestConcurrentNumericalAnalyzeManifestIsolation(t *testing.T) {
 }
 
 // TestConcurrentFusedAnalyzeManifestIsolation is the fused-pipeline
-// counterpart: one tiny model is trained once, then each goroutine
-// analyzes with its own deserialized copy (model inference mutates
-// internal buffers, so concurrent users need their own instance —
-// the serving layer instead serializes a shared one) under its own
-// recorder, with a distinct rough-solve budget as the fingerprint.
+// counterpart: one tiny model is trained once, then every goroutine
+// analyzes through the same shared analyzer (an eval-mode forward
+// pass writes no model state, so inference needs no lock) under its
+// own recorder, with a distinct rough-solve budget as the fingerprint.
 func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
@@ -91,6 +90,10 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 	if err := res.Analyzer.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	a, err := LoadAnalyzer(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -99,12 +102,7 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, err := LoadAnalyzer(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				errs <- err
-				return
-			}
-			a.Config.RoughIters = 2 + i%4
+			iters := 2 + i%4
 			d, err := pgen.Generate(pgen.DefaultConfig(fmt.Sprintf("fused-%d", i), pgen.Fake, 24, 24, int64(i+1)))
 			if err != nil {
 				errs <- err
@@ -113,7 +111,7 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 			rec := obs.NewRecorder()
 			rec.Add("test.analyze", 1)
 			ctx := obs.WithRecorder(context.Background(), rec)
-			if _, _, err := a.AnalyzeCtx(ctx, d); err != nil {
+			if _, _, err := a.AnalyzeBudgetCtx(ctx, d, iters); err != nil {
 				errs <- fmt.Errorf("run %d: %w", i, err)
 				return
 			}
@@ -122,25 +120,15 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 				errs <- fmt.Errorf("run %d: %w", i, err)
 				return
 			}
-			// A fused analysis builds its sample (golden + rough solve)
-			// then runs inference: exactly two solves, the rough one at
-			// this goroutine's budget.
-			if len(m.Solves) != 2 {
-				errs <- fmt.Errorf("run %d: cross-talk: %d solves %+v", i, len(m.Solves), m.Solves)
+			// A fused analysis builds its features (rough solve, no
+			// golden solve) then runs inference: exactly one solve,
+			// labelled rough, at this goroutine's budget.
+			if len(m.Solves) != 1 || m.Solves[0].Label != RungRough {
+				errs <- fmt.Errorf("run %d: cross-talk or golden solve: %d solves %+v", i, len(m.Solves), m.Solves)
 				return
 			}
-			var rough *obs.SolveRecord
-			for k := range m.Solves {
-				if m.Solves[k].Label == "rough" {
-					rough = &m.Solves[k]
-				}
-			}
-			if rough == nil {
-				errs <- fmt.Errorf("run %d: no rough solve in %+v", i, m.Solves)
-				return
-			}
-			if rough.Iterations != a.Config.RoughIters {
-				errs <- fmt.Errorf("run %d: rough solve ran %d iterations, want own budget %d", i, rough.Iterations, a.Config.RoughIters)
+			if got := m.Solves[0].Iterations; got != iters {
+				errs <- fmt.Errorf("run %d: rough solve ran %d iterations, want own budget %d", i, got, iters)
 				return
 			}
 			if m.Counters["test.analyze"] != 1 {

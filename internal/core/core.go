@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"time"
 
 	"irfusion/internal/amg"
@@ -129,7 +130,11 @@ func (c Config) buildModel(inChannels int) (models.Model, error) {
 	return models.New(c.ModelName, mc)
 }
 
-// Analyzer is a trained fusion pipeline.
+// Analyzer is a trained fusion pipeline. Its methods are safe for
+// concurrent use: an eval-mode forward pass writes no model state, so
+// one shared analyzer serves every caller. LoadAnalyzer and Train
+// return the model in eval mode; a caller that switches it to
+// training mode must not predict concurrently with that.
 type Analyzer struct {
 	Config      Config
 	Model       models.Model
@@ -139,11 +144,51 @@ type Analyzer struct {
 	// AnalyzeCtx (retries/backoff, shared circuit breakers). The zero
 	// value means defaults. Not serialized with the checkpoint.
 	Resilience ResilienceOptions
+
+	// tapes recycles inference tapes, and with them the im2col column
+	// buffers, across predictions.
+	tapes tapeFreeList
+}
+
+// maxFreeTapes bounds the analyzer's free list of inference tapes.
+// Each concurrent predictor needs one; tapes returned beyond the bound
+// are left to the collector.
+const maxFreeTapes = 4
+
+// tapeFreeList is a small mutex-guarded stack of inference tapes. It
+// belongs to one analyzer, so the buffers it holds are that analyzer's
+// memory and live exactly as long as it does.
+type tapeFreeList struct {
+	mu   sync.Mutex
+	free []*nn.Tape
+}
+
+// get pops a warm tape, or makes a new one when the list is empty.
+func (l *tapeFreeList) get() *nn.Tape {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		tp := l.free[n-1]
+		l.free = l.free[:n-1]
+		return tp
+	}
+	return nn.NewInferenceTape()
+}
+
+// put returns a tape to the list unless the list is full.
+func (l *tapeFreeList) put(tp *nn.Tape) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < maxFreeTapes {
+		l.free = append(l.free, tp)
+	}
 }
 
 // Predict runs the ML stage on a prepared sample and returns the
 // predicted IR-drop map in volts (clamped non-negative). In residual
-// mode the model output corrects the rasterized rough solution.
+// mode the model output corrects the rasterized rough solution. The
+// sample needs features (and the rough map in residual mode) but no
+// golden label.
 func (a *Analyzer) Predict(s *dataset.Sample) *grid.Map {
 	return a.PredictCtx(context.Background(), s)
 }
@@ -152,15 +197,19 @@ func (a *Analyzer) Predict(s *dataset.Sample) *grid.Map {
 // (obs.ActiveOr), so concurrent predictions with per-context recorders
 // do not cross-talk. The dense forward pass is not interruptible; ctx
 // only selects the recorder here — cancellation takes effect at the
-// solver loops upstream (see AnalyzeCtx).
+// solver loops upstream (see AnalyzeCtx). Concurrent calls share the
+// model and run in parallel, each on its own inference tape from the
+// analyzer's free list.
 func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map {
 	st := obs.ActiveOr(ctx).StartStage("ml.inference")
 	defer st.End()
-	x, _ := dataset.ToTensors([]*dataset.Sample{s})
+	x := dataset.InputTensor([]*dataset.Sample{s})
 	a.Norm.Apply(x)
-	a.Model.SetTraining(false)
-	out := a.Model.Forward(nil, x)
-	m := grid.FromData(s.Golden.H, s.Golden.W, out.Data)
+	tp := a.tapes.get()
+	out := a.Model.Forward(tp, x)
+	a.tapes.put(tp)
+	_, _, h, w := out.Dims4()
+	m := grid.FromData(h, w, out.Data)
 	inv := 1 / a.TargetScale
 	residual := a.Config.ResidualMode && a.Config.UseNumerical && s.RoughBottom != nil
 	for i, v := range m.Data {
@@ -184,9 +233,13 @@ func (a *Analyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, error) {
 }
 
 // AnalyzeCtx is Analyze with cooperative cancellation and per-context
-// observability: the rough/golden solves stop early when ctx is
-// cancelled (solver.ErrCancelled), and all stage timers and solve
-// records report to the recorder bound to ctx, if any.
+// observability: the rough solve stops early when ctx is cancelled
+// (solver.ErrCancelled), a context cancelled before inference skips
+// the forward pass, and all stage timers and solve records report to
+// the recorder bound to ctx, if any. The design goes through the
+// feature stage only (dataset.BuildFeaturesCtx): rough solve, then
+// features, then the CNN — no golden solve, since inference never
+// reads a label.
 //
 // The rough solve of the numerical stage runs on a degradation
 // ladder: the configured budgeted PCG first, the random-walk solver
@@ -198,23 +251,31 @@ func (a *Analyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, error) {
 // The ladder always serves, so a fused analysis degrades rather than
 // fails when the numerical backends misbehave.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, time.Duration, error) {
+	return a.AnalyzeBudgetCtx(ctx, d, 0)
+}
+
+// AnalyzeBudgetCtx is AnalyzeCtx with the rough solve's iteration
+// budget overridden for this call (iters <= 0 uses the config's
+// RoughIters) — the serving layer's per-request budget.
+func (a *Analyzer) AnalyzeBudgetCtx(ctx context.Context, d *pgen.Design, iters int) (*grid.Map, time.Duration, error) {
 	opts := a.Config.DatasetOptions()
-	opts.RoughSolver = a.RoughSolver(0)
-	s, err := dataset.BuildCtx(ctx, d, opts)
+	opts.RoughSolver = a.roughSolver(iters)
+	s, err := dataset.BuildFeaturesCtx(ctx, d, opts)
 	if err != nil {
 		return nil, 0, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, fmt.Errorf("%w before inference: %w", solver.ErrCancelled, err)
 	}
 	start := time.Now()
 	pred := a.PredictCtx(ctx, s)
 	return pred, s.NumericalTime + time.Since(start), nil
 }
 
-// RoughSolver builds the dataset.Options.RoughSolver hook that runs
+// roughSolver builds the dataset.Options.RoughSolver hook that runs
 // the fused pipeline's rough solve on the degradation ladder, with the
-// given iteration budget (<= 0 uses the config's RoughIters). Exported
-// for callers that drive dataset.BuildCtx themselves — the serving
-// layer, which overrides the budget per request.
-func (a *Analyzer) RoughSolver(iters int) func(ctx context.Context, sys *circuit.System, x []float64) error {
+// given iteration budget (<= 0 uses the config's RoughIters).
+func (a *Analyzer) roughSolver(iters int) func(ctx context.Context, sys *circuit.System, x []float64) error {
 	if iters <= 0 {
 		iters = a.Config.RoughIters
 	}
@@ -720,7 +781,7 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 	var fp string
 	solved := false
 	if cc != nil && n.Iters <= 0 {
-		fp = cache.DesignFingerprint(d)
+		fp = cache.FingerprintCtx(ctx, d)
 		if art := cache.LookupSystem(ctx, cc, fp); art != nil && art.N == sys.N() {
 			if r := solver.RelResidual(sys.G, art.Golden, sys.I); r <= cache.GuardTol {
 				copy(x, art.Golden)

@@ -475,7 +475,9 @@ func TestAnalyzerRunEmitsManifest(t *testing.T) {
 	if timed == 0 {
 		t.Fatalf("no stage with non-zero wall time in %d stages", len(m.Stages))
 	}
-	for _, want := range []string{"dataset.golden_solve", "ml.inference"} {
+	// Inference runs the feature stage only: the rough solve feeds the
+	// CNN and no golden solve is paid for.
+	for _, want := range []string{"dataset.rough_solve", "ml.inference"} {
 		found := false
 		for _, st := range m.Stages {
 			if st.Name == want {
@@ -484,6 +486,11 @@ func TestAnalyzerRunEmitsManifest(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("stage %q missing from manifest", want)
+		}
+	}
+	for _, st := range m.Stages {
+		if st.Name == "dataset.golden_solve" {
+			t.Errorf("fused analysis ran a golden solve (stage %q in manifest)", st.Name)
 		}
 	}
 

@@ -109,7 +109,9 @@ func Build(d *pgen.Design, opts Options) (*Sample, error) {
 // so a cancelled context stops them mid-iteration, and every stage
 // timer and convergence trace reports to the recorder resolved from
 // ctx (obs.ActiveOr), keeping concurrent builds isolated when each
-// carries its own recorder.
+// carries its own recorder. It is the label stage (the golden solve)
+// followed by the feature stage of BuildFeaturesCtx; inference needs
+// only the latter.
 //
 // When an artifact cache is active (cache.ActiveOr), BuildCtx serves
 // repeated designs from it: an exact fingerprint hit on a previously
@@ -127,18 +129,13 @@ func Build(d *pgen.Design, opts Options) (*Sample, error) {
 // warm-started rough solve would shift that input distribution.
 func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error) {
 	rec := obs.ActiveOr(ctx)
-	// Fault-injection hook (faults.SiteDatasetBuild): latency/stall
-	// faults exercise the serving layer's timeout and cancellation
-	// paths without touching the numerical code.
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteDatasetBuild, ""); f != nil {
-		if err := f.Sleep(ctx); err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
-		}
+	if err := buildFault(ctx, d); err != nil {
+		return nil, err
 	}
 	cc := cache.ActiveOr(ctx)
 	var fp string
 	if cc != nil {
-		fp = cache.DesignFingerprint(d)
+		fp = cache.FingerprintCtx(ctx, d)
 		if opts.RoughSolver == nil {
 			lookupStart := time.Now()
 			if v, ok := cc.Get(sampleKey(fp, opts)); ok {
@@ -156,22 +153,16 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 			})
 		}
 	}
-	st := rec.StartStage("dataset.assemble")
-	nw, err := circuit.FromNetlist(d.Netlist)
+	nw, sys, err := assemble(rec, d)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
+		return nil, err
 	}
-	sys, err := nw.Assemble()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
-	}
-	st.End()
 
 	// Golden solve, consulting the artifact cache: exact hits reuse the
 	// converged solution outright (after the residual guard), neighbor
 	// hits warm-start PCG with the donor's cloned hierarchy, everything
 	// else builds AMG and solves cold from zero.
-	st = rec.StartStage("dataset.golden_solve")
+	st := rec.StartStage("dataset.golden_solve")
 	gx := make([]float64, sys.N())
 	var h *amg.Hierarchy
 	hFresh := false // h was built from sys.G, so it may be cached
@@ -256,11 +247,78 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 	golden := features.GoldenMap(nw, sys.FullDrops(gx), opts.H, opts.W)
 	st.End()
 
-	s := &Sample{Name: d.Name, Class: d.Class, Golden: golden}
+	s, err := buildFeatures(ctx, d, nw, sys, h, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.Golden = golden
+	if cc != nil && fp != "" && opts.RoughSolver == nil {
+		cc.Put(sampleKey(fp, opts), cloneSample(s), sampleSizeBytes(s), "sample")
+		rec.RecordCacheEvent(obs.CacheEvent{
+			Stage: "dataset.sample", Outcome: obs.CacheStore, Key: cache.ShortKey(fp),
+		})
+	}
+	return s, nil
+}
 
+// BuildFeaturesCtx is the feature stage of BuildCtx on its own:
+// assemble, structure features, rough solve, numerical features. It
+// runs no golden solve, so the returned sample's Golden is nil — the
+// inference path (core.Analyzer.AnalyzeCtx and the serving layer's
+// fused mode) reads only the features and the rough map. The artifact
+// cache is not consulted: a sample without a label is never stored,
+// and rough solves run cold by definition (see BuildCtx). Stage timers
+// and the rough solve's trace report to the recorder resolved from ctx.
+func BuildFeaturesCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error) {
+	if err := buildFault(ctx, d); err != nil {
+		return nil, err
+	}
+	nw, sys, err := assemble(obs.ActiveOr(ctx), d)
+	if err != nil {
+		return nil, err
+	}
+	return buildFeatures(ctx, d, nw, sys, nil, opts)
+}
+
+// buildFault fires the fault-injection hook at the start of a dataset
+// build (faults.SiteDatasetBuild): latency/stall faults exercise the
+// serving layer's timeout and cancellation paths without touching the
+// numerical code.
+func buildFault(ctx context.Context, d *pgen.Design) error {
+	if f := faults.ActiveOr(ctx).Fire(faults.SiteDatasetBuild, ""); f != nil {
+		if err := f.Sleep(ctx); err != nil {
+			return fmt.Errorf("dataset: %s: %w", d.Name, err)
+		}
+	}
+	return nil
+}
+
+// assemble parses the design's netlist and assembles its MNA system
+// under the dataset.assemble stage timer.
+func assemble(rec *obs.Recorder, d *pgen.Design) (*circuit.Network, *circuit.System, error) {
+	st := rec.StartStage("dataset.assemble")
+	defer st.End()
+	nw, err := circuit.FromNetlist(d.Netlist)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
+	}
+	sys, err := nw.Assemble()
+	if err != nil {
+		return nil, nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
+	}
+	return nw, sys, nil
+}
+
+// buildFeatures is the feature stage shared by BuildCtx and
+// BuildFeaturesCtx. h, when non-nil, is an AMG hierarchy already built
+// for sys.G that the built-in rough solve reuses when RoughPrecond is
+// "amg"; nil builds one on demand.
+func buildFeatures(ctx context.Context, d *pgen.Design, nw *circuit.Network, sys *circuit.System, h *amg.Hierarchy, opts Options) (*Sample, error) {
+	rec := obs.ActiveOr(ctx)
+	s := &Sample{Name: d.Name, Class: d.Class}
 	start := time.Now()
 	fs := &features.Set{}
-	st = rec.StartStage("dataset.features.structure")
+	st := rec.StartStage("dataset.features.structure")
 	struct_ := features.StructureFeatures(nw, opts.H, opts.W)
 	if !opts.Hierarchical {
 		struct_ = collapseLayers(struct_)
@@ -278,8 +336,10 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 			var pre solver.Preconditioner
 			if opts.RoughPrecond == "amg" {
 				if h == nil {
-					// Exact-hit fast path skipped setup and the cached
-					// artifact carried no hierarchy; build one now.
+					// No golden solve built one (feature stage alone, or
+					// an exact cache hit whose artifact carried no
+					// hierarchy); build one now.
+					var err error
 					h, err = amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
 					if err != nil {
 						return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
@@ -308,12 +368,6 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 	}
 	s.NumericalTime = time.Since(start)
 	s.Features = fs
-	if cc != nil && fp != "" && opts.RoughSolver == nil {
-		cc.Put(sampleKey(fp, opts), cloneSample(s), sampleSizeBytes(s), "sample")
-		rec.RecordCacheEvent(obs.CacheEvent{
-			Stage: "dataset.sample", Outcome: obs.CacheStore, Key: cache.ShortKey(fp),
-		})
-	}
 	return s, nil
 }
 
@@ -462,26 +516,45 @@ func Oversample(samples []*Sample, fakeTimes, realTimes int) []*Sample {
 
 // ToTensors stacks samples into an input tensor [N,C,H,W] and a
 // target tensor [N,1,H,W]. All samples must share channel count and
-// resolution.
+// resolution, and carry a golden label.
 func ToTensors(samples []*Sample) (*nn.Tensor, *nn.Tensor) {
-	if len(samples) == 0 {
-		panic("dataset: ToTensors with no samples")
-	}
-	c := samples[0].Features.Channels()
-	h, w := samples[0].Golden.H, samples[0].Golden.W
-	x := nn.NewTensor(len(samples), c, h, w)
+	x := InputTensor(samples)
+	_, _, h, w := x.Dims4()
 	y := nn.NewTensor(len(samples), 1, h, w)
 	hw := h * w
 	for ni, s := range samples {
-		if s.Features.Channels() != c || s.Golden.H != h || s.Golden.W != w {
+		if s.Golden.H != h || s.Golden.W != w {
 			panic("dataset: inconsistent sample shapes")
-		}
-		for ci, m := range s.Features.Maps {
-			copy(x.Data[(ni*c+ci)*hw:(ni*c+ci+1)*hw], m.Data)
 		}
 		copy(y.Data[ni*hw:(ni+1)*hw], s.Golden.Data)
 	}
 	return x, y
+}
+
+// InputTensor stacks the samples' feature maps into an input tensor
+// [N,C,H,W] — the model input alone, so unlabeled samples from
+// BuildFeaturesCtx qualify. All samples must share channel count and
+// resolution.
+func InputTensor(samples []*Sample) *nn.Tensor {
+	if len(samples) == 0 {
+		panic("dataset: InputTensor with no samples")
+	}
+	c := samples[0].Features.Channels()
+	h, w := samples[0].Features.Maps[0].H, samples[0].Features.Maps[0].W
+	x := nn.NewTensor(len(samples), c, h, w)
+	hw := h * w
+	for ni, s := range samples {
+		if s.Features.Channels() != c {
+			panic("dataset: inconsistent sample shapes")
+		}
+		for ci, m := range s.Features.Maps {
+			if m.H != h || m.W != w {
+				panic("dataset: inconsistent sample shapes")
+			}
+			copy(x.Data[(ni*c+ci)*hw:(ni*c+ci+1)*hw], m.Data)
+		}
+	}
+	return x
 }
 
 // Normalizer rescales feature channels to comparable magnitudes using

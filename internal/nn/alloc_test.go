@@ -5,6 +5,8 @@ package nn
 // rationale.
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"irfusion/internal/parallel"
@@ -67,4 +69,81 @@ func TestZeroAllocIm2colCol2im(t *testing.T) {
 	requireZeroAllocs(t, "col2im", func() {
 		col2im(cols, grad, ic, ih, iw, kh, kw, stride, pad, oh, ow)
 	})
+}
+
+// bytesPerRun reports the heap bytes fn allocates per call, averaged
+// over runs after one warm-up call.
+func bytesPerRun(t *testing.T, runs int, fn func()) float64 {
+	t.Helper()
+	if race.Enabled {
+		t.Skip("allocation figures are meaningless under the race detector")
+	}
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// convFixture is a convolution whose im2col buffer (ic·3·3 rows) is
+// far larger than its output (oc channels), so a per-call column
+// buffer shows up unmistakably in the allocated bytes.
+func convFixture() (x, w, b *Tensor) {
+	rng := rand.New(rand.NewSource(3))
+	x = NewTensor(1, 8, 16, 16)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	w = NewParam(2, 8, 3, 3)
+	w.HeInit(rng, 8*9)
+	b = NewParam(2)
+	b.Fill(0.1)
+	return x, w, b
+}
+
+// TestInferenceTapeConvReusesColumns: after warm-up, a Conv2D on an
+// inference tape allocates no column buffer — only its output — and
+// matches the nil-tape result bitwise.
+func TestInferenceTapeConvReusesColumns(t *testing.T) {
+	pinSerialPool(t)
+	x, w, b := convFixture()
+	tp := NewInferenceTape()
+	want := Conv2D(nil, x, w, b, 1, 1)
+	got := Conv2D(tp, x, w, b, 1, 1)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] { //irfusion:exact the inference tape must not change results
+			t.Fatalf("output %d: inference tape %v, nil tape %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	if got.NeedsGrad() || tp.Len() != 0 {
+		t.Fatalf("inference tape recorded: needsGrad=%v, %d steps", got.NeedsGrad(), tp.Len())
+	}
+	colBytes := float64(8 * 9 * 16 * 16 * 8)
+	outBytes := float64(want.Size() * 8)
+	fresh := bytesPerRun(t, 20, func() { Conv2D(nil, x, w, b, 1, 1) })
+	reused := bytesPerRun(t, 20, func() { Conv2D(tp, x, w, b, 1, 1) })
+	if fresh < colBytes {
+		t.Fatalf("nil-tape Conv2D allocates %.0f B, expected its %.0f B column buffer", fresh, colBytes)
+	}
+	if reused >= outBytes+colBytes/2 {
+		t.Fatalf("inference-tape Conv2D allocates %.0f B per call; output is %.0f B, a column buffer %.0f B", reused, outBytes, colBytes)
+	}
+}
+
+// TestEvalBatchNormSkipsXhat: an eval-mode BatchNorm that records
+// nothing allocates its output and per-channel scalars, not the
+// input-sized xhat the backward pass needs.
+func TestEvalBatchNormSkipsXhat(t *testing.T) {
+	x, _, _ := convFixture()
+	bn := NewBatchNorm2d(8)
+	bn.Forward(nil, x) // initialize running statistics
+	bn.SetTraining(false)
+	xBytes := float64(x.Size() * 8)
+	got := bytesPerRun(t, 20, func() { bn.Forward(nil, x) })
+	if got >= 1.5*xBytes {
+		t.Fatalf("eval BatchNorm allocates %.0f B per call; output alone is %.0f B", got, xBytes)
+	}
 }

@@ -170,7 +170,12 @@ func (l *BatchNorm2d) Forward(tp *Tape, x *Tensor) *Tensor {
 	for ci := range invStd {
 		invStd[ci] = 1 / math.Sqrt(varc[ci]+l.Eps)
 	}
-	xhat := make([]float64, x.Size())
+	// xhat is kept only for the backward pass; a forward that records
+	// nothing skips the allocation.
+	var xhat []float64
+	if out.needsGrad {
+		xhat = make([]float64, x.Size())
+	}
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * hw
@@ -178,7 +183,9 @@ func (l *BatchNorm2d) Forward(tp *Tape, x *Tensor) *Tensor {
 			mu, is := mean[ci], invStd[ci]
 			for j := 0; j < hw; j++ {
 				xh := (x.Data[base+j] - mu) * is
-				xhat[base+j] = xh
+				if xhat != nil {
+					xhat[base+j] = xh
+				}
 				out.Data[base+j] = g*xh + bta
 			}
 		}

@@ -25,7 +25,7 @@ func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 	}
 
 	k := ic * kh * kw
-	cols := make([]float64, k*oh*ow) // per-sample column buffer
+	cols := tp.colBuffer(k * oh * ow) // per-sample column buffer
 	inputs := []*Tensor{x, w}
 	if b != nil {
 		inputs = append(inputs, b)

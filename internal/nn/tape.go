@@ -2,17 +2,50 @@ package nn
 
 // Tape records the operations of a forward pass so Backward can
 // replay their adjoints in reverse order. Create one tape per forward
-// pass; inference can pass a nil tape to every op to skip recording.
+// pass; inference can pass a nil tape to every op to skip recording,
+// or an inference tape (NewInferenceTape) to also reuse scratch
+// buffers across forward passes.
 type Tape struct {
 	steps []func()
+	// inference marks a tape that records nothing and owns the
+	// reusable scratch below; see NewInferenceTape.
+	inference bool
+	// cols is the im2col column buffer shared by every convolution of
+	// an inference forward pass, grown to the largest one seen.
+	cols []float64
 }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// record registers a backward closure. A nil tape records nothing.
+// NewInferenceTape returns a tape for eval-mode forward passes: it
+// records nothing (ops behave exactly as with a nil tape, bitwise) and
+// owns one im2col column buffer that every convolution reuses, so a
+// warmed-up tape makes no column allocations. A tape is owned by one
+// forward pass at a time; keep one per concurrent caller.
+func NewInferenceTape() *Tape { return &Tape{inference: true} }
+
+// recording reports whether ops must build gradient state and record
+// adjoints: false for nil and inference tapes.
+func (t *Tape) recording() bool { return t != nil && !t.inference }
+
+// colBuffer returns an im2col buffer of length n. Inference tapes hand
+// out their reusable buffer (im2col overwrites every element, so stale
+// contents never leak); any other tape gets a fresh slice.
+func (t *Tape) colBuffer(n int) []float64 {
+	if t == nil || !t.inference {
+		return make([]float64, n)
+	}
+	if cap(t.cols) < n {
+		t.cols = make([]float64, n)
+	}
+	return t.cols[:n]
+}
+
+// record registers a backward closure. Nil and inference tapes record
+// nothing.
 func (t *Tape) record(fn func()) {
-	if t != nil {
+	if t.recording() {
 		t.steps = append(t.steps, fn)
 	}
 }
@@ -43,7 +76,7 @@ func (t *Tape) Len() int {
 // when any input tracks gradients and a tape is recording.
 func result(tp *Tape, shape []int, inputs ...*Tensor) *Tensor {
 	out := NewTensor(shape...)
-	if tp == nil {
+	if !tp.recording() {
 		return out
 	}
 	for _, in := range inputs {

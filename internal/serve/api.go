@@ -12,7 +12,6 @@ import (
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
 	"irfusion/internal/core"
-	"irfusion/internal/dataset"
 	"irfusion/internal/faults"
 	"irfusion/internal/grid"
 	"irfusion/internal/journal"
@@ -531,6 +530,9 @@ func (s *Server) runJob(j *Job) {
 		// cached runs are attributable to their design.
 		ctx = cache.WithCache(ctx, s.cache)
 		j.fp = cache.DesignFingerprint(j.design)
+		// Hand the fingerprint down so the layers below do not hash
+		// the design again.
+		ctx = cache.WithFingerprint(ctx, j.design, j.fp)
 		cfgMap["fingerprint"] = cache.ShortKey(j.fp)
 	}
 
@@ -722,42 +724,17 @@ func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, e
 	return out, nil
 }
 
-// executeFused runs the fused numerical+ML pipeline. The numerical
-// stage runs concurrently across jobs; inference on the shared model
-// instance is serialized by s.mlMu.
+// executeFused runs the fused pipeline through the shared analyzer:
+// rough solve on the fused degradation ladder (budgeted PCG → random
+// walk → structure-only, sharing the server's circuit breakers) at
+// this request's iteration budget, then features, then the CNN. No
+// golden solve runs. Jobs run it concurrently on the one model.
 func (s *Server) executeFused(ctx context.Context, req *AnalyzeRequest, d *pgen.Design) (*AnalyzeResult, error) {
-	al := s.cfg.Analyzer
-	cfg := al.Config
-	if req.Iters > 0 {
-		cfg.RoughIters = req.Iters
-	}
-	opts := cfg.DatasetOptions()
-	// The rough solve runs on the fused degradation ladder (budgeted
-	// PCG → random walk → structure-only), sharing the server's
-	// circuit breakers, at this request's iteration budget.
-	opts.RoughSolver = al.RoughSolver(req.Iters)
-	sample, err := dataset.BuildCtx(ctx, d, opts)
+	pred, rt, err := s.cfg.Analyzer.AnalyzeBudgetCtx(ctx, d, req.Iters)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w before inference: %w", solver.ErrCancelled, err)
-	}
-	start := time.Now()
-	pred := s.predictLocked(ctx, sample)
-	rt := sample.NumericalTime + time.Since(start)
 	return newResult(req, d, pred, rt.Seconds()), nil
-}
-
-// predictLocked serializes inference on the shared model instance.
-// The unlock is deferred so a panicking forward pass (recovered by
-// executeProtected) cannot leave the mutex held and wedge every
-// subsequent fused job.
-func (s *Server) predictLocked(ctx context.Context, sample *dataset.Sample) *grid.Map {
-	s.mlMu.Lock()
-	defer s.mlMu.Unlock()
-	//irfusion:lock-ok serializing inference is this mutex's entire purpose; the model instance is not reentrant and PredictCtx honors ctx cancellation
-	return s.cfg.Analyzer.PredictCtx(ctx, sample)
 }
 
 // resilience returns the ladder policy for one job: the configured

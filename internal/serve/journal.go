@@ -129,14 +129,17 @@ func (s *Server) restoreCheckpoint(key string) {
 // journalAppend writes one lifecycle record; ctx scopes fault
 // injection (the journal.append site). Append failures are counted,
 // not propagated: the serving path prefers availability over
-// durability, and the loss is visible in serve.journal.errors.
-func (s *Server) journalAppend(ctx context.Context, rec journal.Record) {
+// durability, and the loss is visible in serve.journal.errors. It
+// reports whether the record was appended.
+func (s *Server) journalAppend(ctx context.Context, rec journal.Record) bool {
 	if s.journal == nil || s.crashed.Load() {
-		return
+		return false
 	}
 	if err := s.journal.Append(ctx, rec); err != nil {
 		cJournalErr.Inc()
+		return false
 	}
+	return true
 }
 
 // journalAccepted records a job's admission, carrying the full request
@@ -181,8 +184,10 @@ func (s *Server) checkpointNotify(j *Job) func(key string, encoded []byte) {
 			return
 		}
 		j.ckptKey = key
-		s.journalAppend(j.ctx, journal.Record{
+		if s.journalAppend(j.ctx, journal.Record{
 			Type: journal.TypeCheckpoint, JobID: j.id, CheckpointKey: key,
-		})
+		}) {
+			cCheckpointsJournaled.Inc()
+		}
 	}
 }

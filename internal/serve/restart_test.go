@@ -5,28 +5,27 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"irfusion/internal/obs"
 )
 
-// waitForCheckpointBlob polls the journal's blob directory until the
-// first durable checkpoint lands on disk — the signal that a crash
-// from this moment on is recoverable mid-solve.
-func waitForCheckpointBlob(t *testing.T, journalDir string) {
+// waitForCheckpointJournaled polls the serve.journal.checkpoints
+// counter until it moves past before: a checkpoint record is in the
+// journal, after its blob was committed — the signal that a crash from
+// this moment on is recoverable mid-solve. (A listing of the blob
+// directory would also match a blob still being written.)
+func waitForCheckpointJournaled(t *testing.T, before int64) {
 	t.Helper()
-	blobs := filepath.Join(journalDir, "checkpoints")
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if ents, err := os.ReadDir(blobs); err == nil && len(ents) > 0 {
+		if obs.CounterValue("serve.journal.checkpoints") > before {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("no checkpoint blob appeared before the deadline")
+	t.Fatal("no checkpoint was journaled before the deadline")
 }
 
 // TestServeCrashRestartResumesJob is the end-to-end durability check:
@@ -57,6 +56,7 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 
 	dir := t.TempDir()
 	recoveredBefore := obs.CounterValue("serve.recovered")
+	checkpointsBefore := obs.CounterValue("serve.journal.checkpoints")
 
 	// First incarnation: managed by hand, because the only way out of
 	// this server is Crash() — the cleanup-path Close would flush state
@@ -68,7 +68,7 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 		t.Fatalf("submit: status %d: %s", code, b)
 	}
 	id := decodeJob(t, b).ID
-	waitForCheckpointBlob(t, dir)
+	waitForCheckpointJournaled(t, checkpointsBefore)
 	s1.Crash()
 	ts1.Close()
 

@@ -58,6 +58,10 @@ var (
 	// keeps running (availability over durability) but the counter
 	// makes the loss visible.
 	cJournalErr = obs.GlobalCounter("serve.journal.errors")
+	// cCheckpointsJournaled counts checkpoint records appended to the
+	// journal. Each one follows its committed blob, so a crash after the
+	// counter moves is recoverable mid-solve.
+	cCheckpointsJournaled = obs.GlobalCounter("serve.journal.checkpoints")
 )
 
 // Config sizes the service. Zero values take the documented defaults.
@@ -178,8 +182,6 @@ type Server struct {
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
-
-	mlMu sync.Mutex // serializes fused-model inference
 
 	submitMu sync.Mutex // guards queue sends against Close
 	draining bool
